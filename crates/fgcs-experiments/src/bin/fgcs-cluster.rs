@@ -43,7 +43,7 @@ mod imp {
     use std::time::{Duration, Instant};
 
     use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
-    use fgcs_service::{Backend, ClientConfig, Server, ServiceClient, ServiceConfig};
+    use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
     use fgcs_stats::quantile::quantiles;
     use fgcs_testbed::json::ObjWriter;
     use fgcs_wire::{ErrorCode, Frame, SampleLoad, WireSample, WireTransition};
@@ -134,29 +134,6 @@ mod imp {
         }
     }
 
-    /// Blocks until the server behind `client` has applied every
-    /// machine's wave up to sample index `final_i` and drained its
-    /// ingest queue.
-    fn wait_caught_up(client: &mut ServiceClient, machines: &[u32], final_i: u64) {
-        let final_t = final_i * STEP;
-        for _ in 0..2_000 {
-            if let Ok(Frame::StatsReply(stats)) = client.request(&Frame::QueryStats) {
-                let done = stats.queue_depth == 0
-                    && machines.iter().all(|&m| {
-                        stats
-                            .machines
-                            .iter()
-                            .any(|s| s.machine == m && s.last_t >= final_t)
-                    });
-                if done {
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        panic!("X13: server did not catch up to t = {final_t}");
-    }
-
     fn transitions_of(client: &mut ServiceClient, machine: u32) -> Vec<WireTransition> {
         match client.request(&Frame::QueryTransitions {
             machine,
@@ -224,11 +201,11 @@ mod imp {
                     let reply = router
                         .query_avail(m, 1_800)
                         .unwrap_or_else(|e| panic!("X13: routed query died: {e}"));
-                    // Ingest is asynchronous: an early query can reach
-                    // the server before its worker applied the
-                    // machine's first batch, and the typed
-                    // UnknownMachine error is a served (and timed)
-                    // answer too.
+                    // Reads go to the follower first, which applies by
+                    // pulling: an early query can reach it before the
+                    // machine's first batch is replicated, and the
+                    // typed UnknownMachine error is a served (and
+                    // timed) answer too.
                     assert!(
                         matches!(
                             reply,
@@ -302,11 +279,8 @@ mod imp {
 
         // Unkilled single-server reference on the same trace: the
         // bit-identical baseline the cluster must match.
-        let reference = Server::start(ServiceConfig {
-            backend: Backend::Threads,
-            ..Default::default()
-        })
-        .expect("X13: reference server starts");
+        let reference =
+            Server::start(ServiceConfig::default()).expect("X13: reference server starts");
         let mut ref_client = admin(&reference.local_addr().to_string());
         for &m in &ids {
             let wave: Vec<WireSample> = (0..samples).map(|i| wave_sample(m, i)).collect();
@@ -320,7 +294,6 @@ mod imp {
                 assert!(matches!(reply, Frame::Ack { .. }), "{reply:?}");
             }
         }
-        wait_caught_up(&mut ref_client, &ids, samples - 1);
 
         // The cluster: per shard one primary and one follower pulling
         // its replication log, all real processes.
@@ -405,12 +378,11 @@ mod imp {
         // Phase 1: healthy baseline.
         let before = run_phase(&mut router, &ids, 0, third, batch, query_every, None, &[]);
 
-        // Quiesce shard 0 to the phase boundary: the primary drains its
-        // ingest queue and the follower applies up to the primary's log
-        // head, so the kill point's acked seq covers everything routed
-        // so far and the zero-loss claim is exact, not probabilistic.
+        // Quiesce shard 0 to the phase boundary: the follower applies
+        // up to the primary's log head, so the kill point's acked seq
+        // covers everything routed so far and the zero-loss claim is
+        // exact, not probabilistic.
         let mut p0 = admin(&primary0.addr);
-        wait_caught_up(&mut p0, &owned0, third - 1);
         let mut f0 = admin(&follower0.addr);
         let (head_at_kill, acked_at_kill) = {
             let mut status = None;
@@ -494,9 +466,7 @@ mod imp {
         // Converge and compare: every machine's transition records on
         // its owning node must be bit-identical to the reference.
         let mut surv0 = f0;
-        wait_caught_up(&mut surv0, &owned0, samples - 1);
         let mut surv1 = admin(&primary1.addr);
-        wait_caught_up(&mut surv1, &owned1, samples - 1);
         let mut records_total = 0u64;
         let mut records_lost = 0u64;
         for (owned, client) in [(&owned0, &mut surv0), (&owned1, &mut surv1)] {

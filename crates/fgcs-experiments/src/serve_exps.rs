@@ -6,18 +6,18 @@
 //!    speed with interleaved availability queries; measure ingest
 //!    throughput and query latency percentiles, and assert the streamed
 //!    pipeline decodes everything and answers queries.
-//! 2. **Overload** — pin the server's ingest capacity (1 worker, tiny
-//!    queue, artificial per-batch cost) well below the offered load and
-//!    verify the backpressure accounting reconciles exactly:
+//! 2. **Overload** — two event loops with a tiny forwarding ring and an
+//!    artificial per-batch ingest cost, fed one connection of unpaced
+//!    per-machine bursts, so batches crossing to the other loop overflow
+//!    the ring; verify the backpressure accounting reconciles exactly:
 //!    `sent == ingested + shed + decode-rejected`.
-//! 3. **Fan-in scaling** (Linux) — drive 64 → 4096 concurrent monitor
-//!    connections at a fixed aggregate sample rate through each backend
-//!    (thread-per-connection vs epoll readiness loop) and record the
-//!    per-backend scaling curve: connections sustained, query p99, and
-//!    the exact accounting identity at every level.
-//! 4. **Multi-core scaling** (Linux) — the epoll backend at 1/2/4/8
-//!    event loops over a 1024–8192-connection ladder, fixed offered
-//!    load, with a per-batch ingest cost pinning single-loop capacity.
+//! 3. **Fan-in scaling** — drive 64 → 4096 concurrent monitor
+//!    connections at a fixed aggregate sample rate into a default
+//!    server and record the scaling curve: connections sustained, query
+//!    p99, and the exact accounting identity at every level.
+//! 4. **Multi-core scaling** — 1/2/4/8 event loops over a
+//!    1024–8192-connection ladder, fixed offered load, with a per-batch
+//!    ingest cost pinning single-loop capacity.
 //!    Measures ingested samples/s over the streaming window (connect
 //!    time excluded), query latency, and the instrumented
 //!    lock-contention table; the 4-loop/1-loop pair at the gate level
@@ -27,7 +27,9 @@
 //! `results/serve_multicore.csv`, and `BENCH_serve.json`
 //! (cwd-relative).
 
-use fgcs_service::{run_loadgen, Backend, LoadGenConfig, LoadGenReport, Server, ServiceConfig};
+use fgcs_service::{
+    run_loadgen, run_loadgen_bursts, LoadGenConfig, LoadGenReport, Server, ServiceConfig,
+};
 use fgcs_stats::quantile::quantiles;
 use fgcs_testbed::json::ObjWriter;
 use fgcs_testbed::runner::TestbedConfig;
@@ -53,7 +55,8 @@ struct PhaseOutcome {
 }
 
 /// Waits until every sent batch is accounted for (ingested, shed, or
-/// decode-rejected) and the queue is empty, then snapshots stats.
+/// decode-rejected) and no forwarded batch is in flight, then
+/// snapshots stats.
 fn drain(server: &Server, batches_sent: u64) -> StatsPayload {
     for _ in 0..600 {
         let stats = server.stats();
@@ -67,10 +70,13 @@ fn drain(server: &Server, batches_sent: u64) -> StatsPayload {
     panic!("X12: server failed to drain; stats = {:?}", server.stats());
 }
 
-fn run_phase(svc: ServiceConfig, lg: &LoadGenConfig) -> PhaseOutcome {
+fn run_phase(
+    svc: ServiceConfig,
+    drive: impl FnOnce(&str) -> std::io::Result<LoadGenReport>,
+) -> PhaseOutcome {
     let server = Server::start(svc).expect("X12: server starts");
     let addr = server.local_addr().to_string();
-    let report = run_loadgen(&addr, lg).expect("X12: load generator runs");
+    let report = drive(&addr).expect("X12: load generator runs");
     let stats = drain(&server, report.batches_sent);
     server.shutdown();
 
@@ -116,10 +122,9 @@ fn reconcile(phase: &str, out: &PhaseOutcome) {
     );
 }
 
-/// One backend at one fan-in level: run, drain, reconcile, summarize.
-#[cfg(target_os = "linux")]
+/// One fan-in level on a default server: run, drain, reconcile,
+/// summarize.
 struct ScalePoint {
-    backend: Backend,
     conns: usize,
     report: fgcs_service::FanInReport,
     stats: StatsPayload,
@@ -127,20 +132,10 @@ struct ScalePoint {
     p99_us: f64,
 }
 
-#[cfg(target_os = "linux")]
-fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScalePoint {
+fn run_scale_point(conns: usize) -> ScalePoint {
     use fgcs_service::FanInConfig;
 
-    let mut svc = ServiceConfig {
-        backend,
-        ..Default::default()
-    };
-    // The threaded backend's cap is its thread budget; epoll keeps its
-    // (much higher) default. The cap IS the phenomenon under test.
-    if backend == Backend::Threads {
-        svc.max_connections = threads_cap;
-    }
-    let server = Server::start(svc).expect("X12 scaling: server starts");
+    let server = Server::start(ServiceConfig::default()).expect("X12 scaling: server starts");
     let addr = server.local_addr().to_string();
 
     let mut fic = FanInConfig::new(conns);
@@ -151,25 +146,24 @@ fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScaleP
     let report = fgcs_service::run_fanin(&addr, &fic).expect("X12 scaling: fan-in runs");
 
     let stats = drain(&server, report.batches_sent);
-    let ctx = format!("{} @ {conns}", backend.name());
     assert_eq!(
         report.conns_failed, 0,
-        "X12 scaling {ctx}: no mid-stream deaths"
+        "X12 scaling @ {conns}: no mid-stream deaths"
     );
     assert_eq!(
         report.conns_sustained + report.conns_rejected,
         conns,
-        "X12 scaling {ctx}: every connection either sustained or was refused"
+        "X12 scaling @ {conns}: every connection either sustained or was refused"
     );
     assert_eq!(
         stats.ingested_batches + stats.shed_batches + stats.decode_errors,
         report.batches_sent,
-        "X12 scaling {ctx}: server identity sent == ingested + shed + decode-rejected"
+        "X12 scaling @ {conns}: server identity sent == ingested + shed + decode-rejected"
     );
     assert_eq!(
         report.acks + report.busys + report.error_replies,
         report.batches_sent,
-        "X12 scaling {ctx}: client identity acks + busys + errors == sent"
+        "X12 scaling @ {conns}: client identity acks + busys + errors == sent"
     );
     server.shutdown();
 
@@ -180,7 +174,6 @@ fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScaleP
         .collect();
     let (p50_us, p99_us) = p50_p99_us(&lat);
     ScalePoint {
-        backend,
         conns,
         report,
         stats,
@@ -189,26 +182,21 @@ fn run_scale_point(backend: Backend, conns: usize, threads_cap: usize) -> ScaleP
     }
 }
 
-/// Phase 3: the connection-scaling curve, both backends over the same
-/// ladder. Returns the points for the JSON/CSV writers.
-#[cfg(target_os = "linux")]
-fn run_scaling(quick: bool) -> (Vec<ScalePoint>, usize) {
-    // In quick mode the ladder and the threaded cap shrink together so
-    // CI still crosses the cap (256 conns vs a 64-thread budget) in
-    // seconds instead of minutes.
-    let (levels, threads_cap): (&[usize], usize) = if quick {
-        (&[64, 256], 64)
+/// Phase 3: the connection-scaling curve. Returns the points for the
+/// JSON/CSV writers; the last one is the top rung.
+fn run_scaling(quick: bool) -> Vec<ScalePoint> {
+    let levels: &[usize] = if quick {
+        &[64, 256]
     } else {
-        (&[64, 256, 1024, 4096], 1024)
+        &[64, 256, 1024, 4096]
     };
-    let mut points = Vec::new();
-    for &conns in levels {
-        for backend in [Backend::Threads, Backend::Epoll] {
-            let p = run_scale_point(backend, conns, threads_cap);
+    let points: Vec<ScalePoint> = levels
+        .iter()
+        .map(|&conns| {
+            let p = run_scale_point(conns);
             println!(
-                "scaling:  {:>7} @ {:>4} conns: sustained {:>4}, refused {:>4}, \
+                "scaling:  {:>4} conns: sustained {:>4}, refused {:>4}, \
                  query p50 {:>6.0} us  p99 {:>6.0} us  ({:.2} s)",
-                p.backend.name(),
                 conns,
                 p.report.conns_sustained,
                 p.report.conns_rejected,
@@ -216,69 +204,25 @@ fn run_scaling(quick: bool) -> (Vec<ScalePoint>, usize) {
                 p.p99_us,
                 p.report.elapsed_secs
             );
-            points.push(p);
-        }
-    }
+            p
+        })
+        .collect();
 
-    // The tentpole claim, asserted at the top of the ladder: epoll
-    // sustains >= 4x the connections the threaded backend does. The
-    // latency half compares *equal-load* points — the aggregate sample
-    // rate is fixed across the ladder, so epoll at the top level and
-    // threads at its own ceiling (the largest level it fully sustains,
-    // = its thread budget) serve the same offered load; epoll just
-    // spreads it over 4x the sockets. The threaded point at the top
-    // level is NOT comparable: it refused 3/4 of the fleet and serves
-    // a quarter of the load.
-    let top = *levels.last().unwrap();
-    let threads_top = points
-        .iter()
-        .find(|p| p.backend == Backend::Threads && p.conns == top)
-        .unwrap();
-    let epoll_top = points
-        .iter()
-        .find(|p| p.backend == Backend::Epoll && p.conns == top)
-        .unwrap();
-    let threads_best = points
-        .iter()
-        .find(|p| p.backend == Backend::Threads && p.conns == threads_cap.min(top))
-        .unwrap();
-    assert!(
-        epoll_top.report.conns_sustained >= 4 * threads_top.report.conns_sustained,
-        "X12 scaling: epoll must sustain >= 4x threaded at {top} conns \
-         ({} vs {})",
-        epoll_top.report.conns_sustained,
-        threads_top.report.conns_sustained
+    // The gate: the top rung is fully sustained — every connection
+    // streams to the end, none refused — with the identities above
+    // holding exactly.
+    let top = points.last().expect("the ladder has rungs");
+    assert_eq!(
+        (top.report.conns_sustained, top.report.conns_rejected),
+        (top.conns, 0),
+        "X12 scaling: all {} connections must be sustained at the top rung",
+        top.conns
     );
-    // The latency half of the claim needs the real ladder: at quick
-    // scale the threaded backend runs a few dozen threads and never
-    // pays the context-switch cost the thread-per-connection model is
-    // being retired for, so its p99 is not representative there.
-    //
-    // Good runs put BOTH backends' p99 in the tens of microseconds,
-    // where run-to-run scheduler noise on a shared box swamps the
-    // difference (the threaded ceiling has been observed anywhere from
-    // 32 us to 94 ms across runs). "Equal-or-better" therefore allows
-    // a sub-millisecond noise floor: the gate trips only when epoll's
-    // tail is *materially* worse than the threaded ceiling.
-    if !quick {
-        const NOISE_FLOOR_US: f64 = 500.0;
-        assert!(
-            epoll_top.p99_us <= threads_best.p99_us.max(NOISE_FLOOR_US),
-            "X12 scaling: epoll at {top} conns must answer queries at \
-             equal-or-better p99 than threads at its {}-conn ceiling under the \
-             same offered load ({:.0} us vs {:.0} us)",
-            threads_best.conns,
-            epoll_top.p99_us,
-            threads_best.p99_us
-        );
-    }
-    (points, top)
+    points
 }
 
-/// One cell of the multi-core matrix: the epoll backend at `loops`
-/// event loops under `conns` connections of fixed offered load, with a
+/// One cell of the multi-core matrix: `loops` event loops under `conns` connections of fixed offered load, with a
 /// per-batch ingest cost so single-loop capacity is the bottleneck.
-#[cfg(target_os = "linux")]
 struct CorePoint {
     loops: usize,
     conns: usize,
@@ -299,21 +243,17 @@ struct CorePoint {
 /// what makes the matrix honest on a small CI box: the cost is paid
 /// inside each loop's thread, so N loops genuinely overlap N batches
 /// regardless of how many physical cores back them.
-#[cfg(target_os = "linux")]
 const CORE_INGEST_DELAY_US: u64 = 150;
 
 /// Offered aggregate load for every cell, samples/s — far above
 /// single-loop ingest capacity (batch_size / ingest_delay ≈ 213k/s),
 /// so throughput measures the server's ceiling, not the pacing.
-#[cfg(target_os = "linux")]
 const CORE_OFFERED_SAMPLES_PER_SEC: u64 = 800_000;
 
-#[cfg(target_os = "linux")]
 fn run_core_point(loops: usize, conns: usize, total_batches: u64) -> CorePoint {
     use fgcs_service::FanInConfig;
 
     let svc = ServiceConfig {
-        backend: Backend::Epoll,
         event_loops: loops,
         state_shards: 16,
         // Also the per-pair forwarding-ring capacity: deep enough that
@@ -380,7 +320,6 @@ fn run_core_point(loops: usize, conns: usize, total_batches: u64) -> CorePoint {
 
 /// Phase 4: the loops × connections matrix. Returns the points plus
 /// the gate level (the conns rung the before/after claim is made at).
-#[cfg(target_os = "linux")]
 fn run_multicore(quick: bool) -> (Vec<CorePoint>, usize) {
     // Work per cell is held constant (total batches, split across the
     // fleet) so cells differ only in loop count and fan-in width.
@@ -460,13 +399,12 @@ pub fn serve(quick: bool) {
     }
 
     // Phase 1: clean, full-speed, queries interleaved.
-    let mut svc = ServiceConfig::for_testbed(&cfg);
-    svc.queue_capacity = 4096;
+    let svc = ServiceConfig::for_testbed(&cfg);
     let mut lg = LoadGenConfig::new(cfg.lab.clone());
     lg.batch_size = 128;
     lg.query_every_batches = 8;
     lg.query_horizon = 1_800;
-    let clean = run_phase(svc, &lg);
+    let clean = run_phase(svc, |addr| run_loadgen(addr, &lg));
     reconcile("clean", &clean);
     assert_eq!(
         clean.stats.decode_errors, 0,
@@ -493,23 +431,26 @@ pub fn serve(quick: bool) {
         clean.report.queries_answered, clean.p50_us, clean.p99_us
     );
 
-    // Phase 2: overload — ingest capacity pinned far below offered load.
+    // Phase 2: overload — two loops, each ingesting at most 500
+    // batches/s (2 ms/batch), joined by 4-batch forwarding rings. One
+    // connection carries unpaced 32-batch bursts per machine, and the
+    // lab's machines are homed on both loops, so whichever loop accepts
+    // the connection, the other loop's machines arrive faster than
+    // their ring drains — shedding does not hang on the kernel's
+    // SO_REUSEPORT choice.
     let mut svc = ServiceConfig::for_testbed(&cfg);
-    svc.workers = 1;
+    svc.event_loops = 2;
     svc.queue_capacity = 4;
     svc.ingest_delay_us = 2_000;
     let mut lg = LoadGenConfig::new(cfg.lab.clone());
     lg.batch_size = 16;
-    // Ingest capacity is 1/ingest_delay = 500 batches/s = 8k samples/s;
-    // pace the fleet to ~4x that so overload is sustained, not a burst.
-    lg.samples_per_sec = 32_000 / cfg.lab.machines as u64;
     lg.max_samples_per_machine = Some(if quick { 2_000 } else { 4_000 });
     lg.query_every_batches = 32;
-    let over = run_phase(svc, &lg);
+    let over = run_phase(svc, |addr| run_loadgen_bursts(addr, &lg, 32));
     reconcile("overload", &over);
     assert!(
         over.stats.shed_batches > 0,
-        "X12 overload: the queue must actually overflow"
+        "X12 overload: the forwarding ring must actually overflow"
     );
     assert!(
         over.report.queries_answered > 0,
@@ -528,12 +469,10 @@ pub fn serve(quick: bool) {
         over.report.queries_answered, over.p50_us, over.p99_us
     );
 
-    // Phase 3: the connection-scaling ladder over both backends.
-    #[cfg(target_os = "linux")]
-    let (scale_points, scale_top) = run_scaling(quick);
+    // Phase 3: the connection-scaling ladder.
+    let scale_points = run_scaling(quick);
 
     // Phase 4: the multi-core loops × connections matrix.
-    #[cfg(target_os = "linux")]
     let (core_points, core_gate_conns) = run_multicore(quick);
 
     let row = |phase: &str, o: &PhaseOutcome| {
@@ -560,14 +499,12 @@ pub fn serve(quick: bool) {
     .expect("write results/serve.csv");
     println!("wrote {}", path.display());
 
-    #[cfg(target_os = "linux")]
     {
         let rows: Vec<String> = scale_points
             .iter()
             .map(|p| {
                 format!(
-                    "{},{},{},{},{},{},{},{},{},{},{:.0},{:.0},{:.3}",
-                    p.backend.name(),
+                    "{},{},{},{},{},{},{},{},{},{:.0},{:.0},{:.3}",
                     p.conns,
                     p.report.conns_connected,
                     p.report.conns_sustained,
@@ -585,7 +522,7 @@ pub fn serve(quick: bool) {
             .collect();
         let path = write_csv(
             "serve_scaling",
-            "backend,conns,connected,sustained,refused,batches,acks,busys,ingested,\
+            "conns,connected,sustained,refused,batches,acks,busys,ingested,\
              shed,query_p50_us,query_p99_us,elapsed_s",
             &rows,
         )
@@ -644,9 +581,9 @@ pub fn serve(quick: bool) {
         .str(
             "description",
             "X12: fgcs-service over localhost TCP. clean = full-speed trace replay with \
-             interleaved availability queries; overload = ingest capacity pinned below \
-             offered load (1 worker, queue capacity 4, 2 ms/batch), exercising \
-             shed-oldest backpressure with exact accounting.",
+             interleaved availability queries; overload = two event loops at 2 ms/batch \
+             joined by 4-batch forwarding rings, fed one connection of per-machine \
+             bursts, exercising ring-shed backpressure (Busy) with exact accounting.",
         )
         .str(
             "command",
@@ -655,7 +592,6 @@ pub fn serve(quick: bool) {
         .obj("clean", phase_obj(&clean))
         .obj("overload", phase_obj(&over));
 
-    #[cfg(target_os = "linux")]
     {
         let point_obj = |p: &ScalePoint| {
             let mut w = ObjWriter::new();
@@ -673,56 +609,26 @@ pub fn serve(quick: bool) {
                 .f64("elapsed_secs", p.report.elapsed_secs);
             w
         };
-        // One object per ladder level ("c64", "c256", ...), each holding
-        // both backends' point (the JSON writer is object-only).
+        // One object per ladder level ("c64", "c256", ...).
         let mut levels = ObjWriter::new();
-        for pair in scale_points.chunks_exact(2) {
-            let mut level = ObjWriter::new();
-            for p in pair {
-                level.obj(p.backend.name(), point_obj(p));
-            }
-            levels.obj(&format!("c{}", pair[0].conns), level);
+        for p in &scale_points {
+            levels.obj(&format!("c{}", p.conns), point_obj(p));
         }
-        let threads_top = scale_points
-            .iter()
-            .find(|p| p.backend == Backend::Threads && p.conns == scale_top)
-            .unwrap();
-        let epoll_top = scale_points
-            .iter()
-            .find(|p| p.backend == Backend::Epoll && p.conns == scale_top)
-            .unwrap();
-        // The threaded backend's best operating point: the largest
-        // level it sustains in full (its thread budget). Under the
-        // ladder's fixed aggregate rate this serves the same offered
-        // load as the epoll top point, so their p99s compare directly.
-        let threads_best = scale_points
-            .iter()
-            .filter(|p| p.backend == Backend::Threads && p.report.conns_sustained == p.conns)
-            .max_by_key(|p| p.conns)
-            .unwrap();
+        let top_point = scale_points.last().expect("the ladder has rungs");
         let mut top = ObjWriter::new();
-        top.u64("conns", scale_top as u64)
-            .u64(
-                "threads_sustained",
-                threads_top.report.conns_sustained as u64,
-            )
-            .u64("epoll_sustained", epoll_top.report.conns_sustained as u64)
-            .f64(
-                "sustain_ratio",
-                epoll_top.report.conns_sustained as f64
-                    / threads_top.report.conns_sustained.max(1) as f64,
-            )
-            .u64("threads_ceiling_conns", threads_best.conns as u64)
-            .f64("threads_ceiling_query_p99_us", threads_best.p99_us)
-            .f64("threads_query_p99_us", threads_top.p99_us)
-            .f64("epoll_query_p99_us", epoll_top.p99_us);
+        // Flat, uniquely named keys: the CI gate greps them out of the
+        // committed artifact.
+        top.u64("top_conns", top_point.conns as u64)
+            .u64("top_sustained", top_point.report.conns_sustained as u64)
+            .u64("top_refused", top_point.report.conns_rejected as u64)
+            .f64("top_query_p99_us", top_point.p99_us);
         let mut scaling = ObjWriter::new();
         scaling
             .str(
                 "description",
                 "fan-in ladder: N concurrent monitor connections at a fixed 50k samples/s \
-                 aggregate rate, thread-per-connection (cap = thread budget) vs epoll \
-                 readiness loop, single driver thread",
+                 aggregate rate into a default (one event loop) server, single driver \
+                 thread; the top rung must be fully sustained",
             )
             .u64("aggregate_samples_per_sec", 50_000)
             .u64("batches_per_conn", 4)
@@ -809,7 +715,7 @@ pub fn serve(quick: bool) {
         multicore
             .str(
                 "description",
-                "loops x connections matrix on the epoll backend: N SO_REUSEPORT event \
+                "loops x connections matrix: N SO_REUSEPORT event \
                  loops pinned to disjoint state-shard subsets, fixed offered load, \
                  per-batch ingest cost pinning single-loop capacity; samples_per_sec \
                  is ingested samples over the streaming window (connect time excluded)",

@@ -145,7 +145,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
         let Ok(stream) = stream else { continue };
         let inner = Arc::clone(&inner);
         std::thread::spawn(move || {
-            let _ = serve_connection(stream, &inner);
+            let _ = serve_client(stream, &inner);
         });
     }
 }
@@ -185,7 +185,7 @@ fn tick_loop<S: AvailabilitySource>(
     }
 }
 
-fn serve_connection(mut stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
+fn serve_client(mut stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut dec = Decoder::new();
     let mut buf = [0u8; 16 * 1024];

@@ -229,14 +229,10 @@ fn revocation_requeues_and_replaces_the_guest() {
 fn scheduler_follows_a_real_availability_service() {
     use fgcs_sched::ClusterSource;
     use fgcs_service::cluster::{ClusterClient, ClusterConfig, ShardSpec};
-    use fgcs_service::{Backend, Server, ServiceConfig};
+    use fgcs_service::{Server, ServiceConfig};
     use fgcs_wire::{SampleLoad, WireSample};
 
-    let svc = Server::start(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    })
-    .expect("availability service starts");
+    let svc = Server::start(ServiceConfig::default()).expect("availability service starts");
     let svc_addr = svc.local_addr().to_string();
 
     let idle = |t: u64, alive: bool| WireSample {

@@ -32,7 +32,7 @@
 //! loops, including the cross-loop forwarding rings.
 //!
 //! Exits 0 on success, 1 with a message on the first failure — the CI
-//! smoke gate for the epoll backend, auth handshake, and the
+//! smoke gate for `fgcs-serve`, the auth handshake, and the
 //! kill-and-restart snapshot check.
 
 use std::collections::BTreeMap;
@@ -107,7 +107,8 @@ fn stream_partition(
                 Ok(Frame::Ack { .. }) => {}
                 // A shed batch would break the bit-identity the restart
                 // smoke diffs on; the replay load is far below the
-                // queue capacity, so Busy means something is wrong.
+                // forwarding-ring capacity, so Busy means something is
+                // wrong.
                 Ok(other) => fail(&format!(
                     "replay machine {machine}: expected Ack, got tag {}",
                     other.tag()
@@ -156,9 +157,10 @@ fn run_replay(
             fail("replay: a streaming connection panicked");
         }
     }
-    // Ingest is asynchronous: wait until every machine's pipeline has
-    // consumed its final sample before declaring the replay done (the
-    // caller may snapshot-and-diff right after we exit).
+    // On a multi-loop server a batch forwarded to its home loop is
+    // acked before it is ingested: wait until every machine's pipeline
+    // has consumed its final sample before declaring the replay done
+    // (the caller may snapshot-and-diff right after we exit).
     let final_t = (samples - 1) * 15;
     for _ in 0..200 {
         let stats = query_stats(client);
@@ -244,9 +246,9 @@ fn main() {
 
     match client.request(&Frame::QueryStats) {
         Ok(Frame::StatsReply(stats)) => {
-            // The queue is asynchronous; both batches must at least be
-            // accounted for (ingested now or still queued — an Ack
-            // means accepted, so ingested catches up; poll briefly).
+            // On one loop an Ack means ingested; on a multi-loop server
+            // a batch forwarded to its home loop is acked from the ring
+            // and ingested just after, so poll briefly.
             let mut ingested = stats.ingested_batches;
             let mut spins = 0;
             while ingested < 2 && spins < 100 {

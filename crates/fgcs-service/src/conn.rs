@@ -1,19 +1,19 @@
-//! Backend-independent per-connection frame handling.
+//! Per-connection frame handling.
 //!
-//! Both the threaded backend and the epoll readiness loop feed every
-//! decoded frame through [`handle_conn_frame`], so request semantics —
-//! auth gating, shed accounting, query answers, the one-reply-per-frame
-//! identity — are a single code path and cannot drift between backends.
+//! Every event loop feeds each decoded frame through
+//! [`handle_conn_frame`]: auth gating, shed accounting, query answers
+//! and the one-reply-per-frame identity live in this one code path.
 
 use fgcs_wire::{
     ErrorCode, Frame, WireTransition, MAX_REPL_SNAPSHOT_BYTES, MAX_TRANSITIONS_PER_FRAME,
 };
 
+use crate::epoll::LoopRouter;
 use crate::repl::PullReply;
 use crate::snapshot;
 use crate::state::{Batch, Shared};
 
-/// Per-connection protocol state, owned by whichever backend runs the
+/// Per-connection protocol state, owned by the event loop that runs the
 /// connection.
 #[derive(Debug, Default)]
 pub(crate) struct ConnCtx {
@@ -33,30 +33,13 @@ pub(crate) enum Outcome {
     ReplyThenClose(Frame),
 }
 
-/// Where a connection's sample batches go — the one point where the
-/// backends' ingest paths diverge.
-pub(crate) enum IngestSink<'a> {
-    /// The shared bounded queue drained by the worker pool (threaded
-    /// backend). Overflow sheds the *oldest* queued batch.
-    Queue,
-    /// Loop-owned ingest (epoll backend): batches for shards this loop
-    /// owns are ingested inline; others are forwarded to their home
-    /// loop over an SPSC ring. A full ring sheds the *arriving* batch —
-    /// forwarded work is never reordered or dropped once accepted.
-    #[cfg(target_os = "linux")]
-    Loop(&'a mut crate::epoll::LoopRouter),
-    /// Unused; keeps the lifetime parameter on non-Linux builds.
-    #[cfg(not(target_os = "linux"))]
-    Phantom(std::marker::PhantomData<&'a ()>),
-}
-
 /// Handles one decoded frame: auth gate first, then the request
 /// dispatch. Exactly one reply per frame, always.
 pub(crate) fn handle_conn_frame(
     shared: &Shared,
     frame: Frame,
     ctx: &mut ConnCtx,
-    sink: &mut IngestSink<'_>,
+    router: &mut LoopRouter,
 ) -> Outcome {
     if let Some(expected) = &shared.cfg.auth_token {
         if !ctx.authed {
@@ -87,15 +70,15 @@ pub(crate) fn handle_conn_frame(
         // harmless, acknowledged, not counted as a batch.
         return Outcome::Reply(Frame::Ack { seq: 0 });
     }
-    Outcome::Reply(handle_request(shared, frame, ctx, sink))
+    Outcome::Reply(handle_request(shared, frame, ctx, router))
 }
 
-/// The request dispatch (post-auth). Formerly `server::handle_frame`.
+/// The request dispatch (post-auth).
 fn handle_request(
     shared: &Shared,
     frame: Frame,
     ctx: &mut ConnCtx,
-    sink: &mut IngestSink<'_>,
+    router: &mut LoopRouter,
 ) -> Frame {
     match frame {
         Frame::SampleBatch { machine, samples } => {
@@ -107,21 +90,7 @@ fn handle_request(
                     detail: "node is a follower; send ingest to the primary".to_string(),
                 };
             }
-            let batch = Batch { machine, samples };
-            let shed = match sink {
-                IngestSink::Queue => {
-                    let mut queue = shared.lock_queue();
-                    let shed = queue.push(batch);
-                    drop(queue);
-                    shared.queue_cv.notify_one();
-                    shed
-                }
-                #[cfg(target_os = "linux")]
-                IngestSink::Loop(router) => router.submit(shared, batch),
-                #[cfg(not(target_os = "linux"))]
-                IngestSink::Phantom(_) => unreachable!("phantom sink is never constructed"),
-            };
-            match shed {
+            match router.submit(shared, Batch { machine, samples }) {
                 Some(victim) => {
                     // One locked update, so a concurrent stats read can
                     // never see the shed batch without its samples.
@@ -131,11 +100,9 @@ fn handle_request(
                         c.busy_replies += 1;
                         c.busy_replies
                     });
-                    // Queue sink: the arriving batch *was* accepted and
-                    // the oldest queued one shed. Loop sink: a full
-                    // forwarding ring shed the arriving batch itself.
-                    // Either way Busy tells the producer the server
-                    // overflowed and exactly one batch was lost.
+                    // A full forwarding ring shed the arriving batch:
+                    // Busy tells the producer exactly that batch was
+                    // lost.
                     Frame::Busy {
                         shed_batches: total,
                     }
@@ -158,8 +125,8 @@ fn handle_request(
             };
             // A poisoned machine lock (a panic mid-ingest) must degrade
             // to a typed error on this one machine, not panic the
-            // connection — in the epoll backend that panic would take
-            // the whole event loop, and every other machine, with it.
+            // connection — that panic would take the whole event loop,
+            // and every other machine, with it.
             let Ok(m) = cell.lock() else {
                 return poisoned_machine(machine);
             };
@@ -340,13 +307,6 @@ fn handle_request(
     }
 }
 
-/// The follower-read staleness bound (DESIGN.md §13.5). Primaries and
-/// unbounded followers (`max_read_lag` unset) always pass. A bounded
-/// follower answers reads only while its applied head is within the
-/// configured lag of the newest primary head its pull loop has seen —
-/// otherwise (including before the first successful pull, and forever
-/// after a divergence tripwire) the client gets `TooStale` and should
-/// retry against the primary.
 /// Typed reply for a machine whose lock was poisoned by an earlier
 /// panic: the one machine is unusable, the server is not.
 fn poisoned_machine(machine: u32) -> Frame {
@@ -356,6 +316,13 @@ fn poisoned_machine(machine: u32) -> Frame {
     }
 }
 
+/// The follower-read staleness bound (DESIGN.md §13.5). Primaries and
+/// unbounded followers (`max_read_lag` unset) always pass. A bounded
+/// follower answers reads only while its applied head is within the
+/// configured lag of the newest primary head its pull loop has seen —
+/// otherwise (including before the first successful pull, and forever
+/// after a divergence tripwire) the client gets `TooStale` and should
+/// retry against the primary.
 fn read_staleness_gate(shared: &Shared) -> Option<Frame> {
     if shared.is_primary() {
         return None;

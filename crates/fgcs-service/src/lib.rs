@@ -7,16 +7,14 @@
 //! (`fgcs_testbed::run_testbed`); this crate runs it across a TCP
 //! boundary:
 //!
-//! * [`Server`] — a TCP server with two interchangeable connection
-//!   backends ([`Backend`]): thread-per-connection, or N epoll
-//!   readiness loops sharing one `SO_REUSEPORT` port (Linux, via the
-//!   in-tree `fgcs-sys` shim), each loop owning an exclusive subset of
-//!   the state shards ([`ServiceConfig::event_loops`]). Both
-//!   ingest per-machine sample streams into the existing `fgcs-core`
-//!   [`Monitor`](fgcs_core::monitor::Monitor) / detector (via
-//!   [`fgcs_testbed::OccurrenceRecorder`], so a streamed trace yields
-//!   **bit-identical** records to an in-process run — and to the other
-//!   backend), maintain an online `fgcs-predict` model, and answer
+//! * [`Server`] — a TCP server running N epoll event loops (one by
+//!   default; [`ServiceConfig::event_loops`]) on the in-tree `fgcs-sys`
+//!   shim, each loop owning an exclusive subset of the state shards.
+//!   It ingests per-machine sample streams into the existing
+//!   `fgcs-core` [`Monitor`](fgcs_core::monitor::Monitor) / detector
+//!   (via [`fgcs_testbed::OccurrenceRecorder`], so a streamed trace
+//!   yields **bit-identical** records to an in-process run, at any loop
+//!   count), maintains an online `fgcs-predict` model, and answers
 //!   availability/placement queries from live state. Per-machine state
 //!   is sharded ([`ServiceConfig::state_shards`]); an optional shared
 //!   auth token ([`ServiceConfig::auth_token`]) gates every stream.
@@ -32,13 +30,15 @@
 //!
 //! ## Backpressure
 //!
-//! Ingest capacity is bounded ([`ServiceConfig::queue_capacity`]
-//! batches). In the threaded backend a batch arriving at a full queue
-//! sheds the *oldest* queued batch to make room; in the epoll backend a
-//! batch bound for another loop's shard that finds the forwarding ring
-//! full is itself shed. Either way the producer gets a
-//! [`fgcs_wire::Frame::Busy`] instead of an `Ack`. Every client frame
-//! earns exactly one reply, so the accounting reconciles exactly:
+//! A loop ingests batches for its own shards inline, before it reads
+//! the next frame, so their `Ack` means ingested and appended to the
+//! replication log; a producer that outruns the loop is slowed by TCP
+//! flow control. A batch for another loop's shard travels over a
+//! bounded forwarding ring ([`ServiceConfig::queue_capacity`] batches);
+//! if the ring is full the arriving batch is shed and the producer gets
+//! a [`fgcs_wire::Frame::Busy`] instead of an `Ack`. With one loop
+//! nothing is ever shed. Every client frame earns exactly one reply, so
+//! the accounting reconciles exactly:
 //!
 //! ```text
 //! batches sent == ingested + shed + decode-rejected
@@ -48,18 +48,20 @@
 //! Shed batches are *exclusion*, not silent loss: they are counted and
 //! reported via `Stats`, the same discipline as censored spans in the
 //! fault pipeline (DESIGN.md §8.4 and §9).
+//!
+//! The crate is Linux-only: the transport is built on epoll.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("fgcs-service is Linux-only: its transport runs on epoll via fgcs-sys");
+
 pub mod client;
-#[cfg(target_os = "linux")]
 pub mod cluster;
 mod conn;
-#[cfg(target_os = "linux")]
 mod epoll;
 pub mod loadgen;
-#[cfg(target_os = "linux")]
 pub mod pool;
 mod repl;
 pub mod server;
@@ -69,11 +71,10 @@ mod state;
 pub use repl::{ROLE_FOLLOWER, ROLE_PRIMARY};
 
 pub use client::{ClientConfig, ServiceClient};
-#[cfg(target_os = "linux")]
 pub use cluster::{ClusterClient, ClusterConfig, ClusterMetrics, ShardSpec};
-#[cfg(target_os = "linux")]
-pub use loadgen::{run_fanin, FanInConfig, FanInReport};
-pub use loadgen::{run_loadgen, LoadGenConfig, LoadGenReport};
-#[cfg(target_os = "linux")]
+pub use loadgen::{
+    run_fanin, run_loadgen, run_loadgen_bursts, FanInConfig, FanInReport, LoadGenConfig,
+    LoadGenReport,
+};
 pub use pool::{ClientPool, PoolCloseReason, PoolEvent};
-pub use server::{Backend, LockContention, Server, ServiceConfig};
+pub use server::{LockContention, Server, ServiceConfig};

@@ -1,10 +1,11 @@
 //! Trace-replaying load generator: N machines × M samples/s against a
 //! running server, optionally through frame corruption.
 //!
-//! One thread per simulated machine, each with its own
-//! [`ServiceClient`] and its own deterministic
-//! [`FrameCorruptor`](fgcs_faults::FrameCorruptor) stream. The report
-//! carries both sides of the client accounting identity:
+//! [`run_loadgen`] runs one thread per simulated machine, each with its
+//! own [`ServiceClient`] and its own deterministic
+//! [`FrameCorruptor`](fgcs_faults::FrameCorruptor) stream;
+//! [`run_loadgen_bursts`] replays the whole lab over one connection.
+//! The report carries both sides of the client accounting identity:
 //! `acks + busys + error_replies == batches_sent`.
 
 use std::io;
@@ -137,115 +138,161 @@ pub fn run_loadgen(addr: &str, cfg: &LoadGenConfig) -> io::Result<LoadGenReport>
     Ok(report)
 }
 
-fn replay_machine(addr: &str, cfg: &LoadGenConfig, machine_id: usize) -> io::Result<LoadGenReport> {
+/// Replays every machine of `cfg.lab` over **one** connection, in bursts
+/// of `burst` consecutive batches per machine, round-robin across the
+/// machines (each machine's samples stay in order). Whichever event
+/// loop the connection lands on, the machines homed on other loops
+/// arrive there as back-to-back foreign batches, so a slow home loop
+/// fills its forwarding ring whatever the kernel's `SO_REUSEPORT` hash
+/// picked — the overload experiments rely on that. Bursts are unpaced
+/// (`samples_per_sec` is ignored); queries ask after the machine whose
+/// batch was just sent.
+pub fn run_loadgen_bursts(
+    addr: &str,
+    cfg: &LoadGenConfig,
+    burst: usize,
+) -> io::Result<LoadGenReport> {
     let started = Instant::now();
-    let mut client = ServiceClient::connect(ClientConfig {
-        addr: addr.to_string(),
-        sup: cfg.sup,
-        backoff_unit_ms: cfg.backoff_unit_ms,
-        read_timeout_ms: 10_000,
-        token: cfg.token.clone(),
-    })?;
-    let mut corruptor = FrameCorruptor::new(&cfg.faults, machine_id as u64);
-    let plan = MachinePlan::generate(&cfg.lab, machine_id);
-    let mut report = LoadGenReport {
-        machines: 1,
-        ..Default::default()
-    };
-
-    let batch_size = cfg.batch_size.max(1);
-    // Per-batch sleep that yields the configured per-machine rate
-    // (unpaced when the rate is 0).
-    let pace = (batch_size as u64)
-        .saturating_mul(1_000_000)
-        .checked_div(cfg.samples_per_sec)
-        .map(Duration::from_micros);
-
-    let mut pending: Vec<WireSample> = Vec::with_capacity(batch_size);
-    let mut taken = 0u64;
-    let mut samples = plan.samples();
-    loop {
-        let sample = samples.next();
-        if let Some(s) = &sample {
-            if cfg.max_samples_per_machine.is_some_and(|cap| taken >= cap) {
-                // Cap reached: flush what's pending and stop.
-            } else {
-                taken += 1;
-                pending.push(WireSample {
-                    t: s.t,
-                    load: SampleLoad::Direct(s.host_load),
-                    host_resident_mb: s.host_resident_mb,
-                    alive: s.alive,
-                });
-                if pending.len() < batch_size {
-                    continue;
-                }
+    let mut queues: Vec<std::vec::IntoIter<Vec<WireSample>>> = (0..cfg.lab.machines)
+        .map(|id| machine_batches(cfg, id).into_iter())
+        .collect();
+    let mut replayer = Replayer::connect(addr, cfg, 0)?;
+    while queues.iter().any(|q| q.len() > 0) {
+        for (id, q) in queues.iter_mut().enumerate() {
+            for samples in q.by_ref().take(burst.max(1)) {
+                replayer.send(id as u32, samples)?;
             }
-        }
-        if !pending.is_empty() {
-            let batch = Frame::SampleBatch {
-                machine: machine_id as u32,
-                samples: std::mem::take(&mut pending),
-            };
-            let mut bytes = batch
-                .encode()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            corruptor.corrupt(&mut bytes, HEADER_LEN);
-            let sample_count = match &batch {
-                Frame::SampleBatch { samples, .. } => samples.len() as u64,
-                _ => unreachable!(),
-            };
-            report.batches_sent += 1;
-            report.samples_sent += sample_count;
-            match client.request_encoded(&bytes)? {
-                Frame::Ack { .. } => report.acks += 1,
-                Frame::Busy { .. } => report.busys += 1,
-                Frame::Error { .. } => report.error_replies += 1,
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected reply to SampleBatch: tag {}", other.tag()),
-                    ))
-                }
-            }
-            if let Some(d) = pace {
-                std::thread::sleep(d);
-            }
-            if cfg.query_every_batches > 0
-                && report.batches_sent.is_multiple_of(cfg.query_every_batches)
-            {
-                let q = Frame::QueryAvail {
-                    machine: machine_id as u32,
-                    horizon: cfg.query_horizon,
-                };
-                let sent_at = Instant::now();
-                let reply = client.request(&q)?;
-                report
-                    .query_latencies_us
-                    .push(sent_at.elapsed().as_micros() as u64);
-                report.queries_sent += 1;
-                if matches!(reply, Frame::AvailReply { .. }) {
-                    report.queries_answered += 1;
-                }
-            }
-        }
-        let capped = cfg.max_samples_per_machine.is_some_and(|cap| taken >= cap);
-        if sample.is_none() || capped {
-            break;
         }
     }
-    report.frames_corrupted = corruptor.frames_corrupted;
-    report.reconnects = client.reconnects;
-    report.elapsed_secs = started.elapsed().as_secs_f64();
+    let mut report = replayer.finish(started);
+    report.machines = cfg.lab.machines;
     Ok(report)
 }
 
-#[cfg(target_os = "linux")]
+fn replay_machine(addr: &str, cfg: &LoadGenConfig, machine_id: usize) -> io::Result<LoadGenReport> {
+    let started = Instant::now();
+    let mut replayer = Replayer::connect(addr, cfg, machine_id as u64)?;
+    // Per-batch sleep that yields the configured per-machine rate
+    // (unpaced when the rate is 0).
+    let pace = (cfg.batch_size.max(1) as u64)
+        .saturating_mul(1_000_000)
+        .checked_div(cfg.samples_per_sec)
+        .map(Duration::from_micros);
+    for samples in machine_batches(cfg, machine_id) {
+        replayer.send(machine_id as u32, samples)?;
+        if let Some(d) = pace {
+            std::thread::sleep(d);
+        }
+    }
+    Ok(replayer.finish(started))
+}
+
+/// One machine's trace (capped at `max_samples_per_machine`), cut into
+/// `SampleBatch` payloads of `batch_size` samples.
+fn machine_batches(cfg: &LoadGenConfig, machine_id: usize) -> Vec<Vec<WireSample>> {
+    let cap = cfg
+        .max_samples_per_machine
+        .map_or(usize::MAX, |c| c as usize);
+    let samples: Vec<WireSample> = MachinePlan::generate(&cfg.lab, machine_id)
+        .samples()
+        .take(cap)
+        .map(|s| WireSample {
+            t: s.t,
+            load: SampleLoad::Direct(s.host_load),
+            host_resident_mb: s.host_resident_mb,
+            alive: s.alive,
+        })
+        .collect();
+    samples
+        .chunks(cfg.batch_size.max(1))
+        .map(<[WireSample]>::to_vec)
+        .collect()
+}
+
+/// One replaying connection and its share of the report.
+struct Replayer<'a> {
+    cfg: &'a LoadGenConfig,
+    client: ServiceClient,
+    corruptor: FrameCorruptor,
+    report: LoadGenReport,
+}
+
+impl<'a> Replayer<'a> {
+    /// Connects; `stream` seeds this connection's corruption stream.
+    fn connect(addr: &str, cfg: &'a LoadGenConfig, stream: u64) -> io::Result<Self> {
+        let client = ServiceClient::connect(ClientConfig {
+            addr: addr.to_string(),
+            sup: cfg.sup,
+            backoff_unit_ms: cfg.backoff_unit_ms,
+            read_timeout_ms: 10_000,
+            token: cfg.token.clone(),
+        })?;
+        Ok(Replayer {
+            cfg,
+            client,
+            corruptor: FrameCorruptor::new(&cfg.faults, stream),
+            report: LoadGenReport {
+                machines: 1,
+                ..Default::default()
+            },
+        })
+    }
+
+    /// Sends one batch (through the corruptor), counts its reply, and
+    /// issues the periodic `QueryAvail` when one is due.
+    fn send(&mut self, machine: u32, samples: Vec<WireSample>) -> io::Result<()> {
+        let sample_count = samples.len() as u64;
+        let mut bytes = Frame::SampleBatch { machine, samples }
+            .encode()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        self.corruptor.corrupt(&mut bytes, HEADER_LEN);
+        let report = &mut self.report;
+        report.batches_sent += 1;
+        report.samples_sent += sample_count;
+        match self.client.request_encoded(&bytes)? {
+            Frame::Ack { .. } => report.acks += 1,
+            Frame::Busy { .. } => report.busys += 1,
+            Frame::Error { .. } => report.error_replies += 1,
+            other => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unexpected reply to SampleBatch: tag {}", other.tag()),
+                ))
+            }
+        }
+        let every = self.cfg.query_every_batches;
+        if every > 0 && report.batches_sent.is_multiple_of(every) {
+            let q = Frame::QueryAvail {
+                machine,
+                horizon: self.cfg.query_horizon,
+            };
+            let sent_at = Instant::now();
+            let reply = self.client.request(&q)?;
+            let report = &mut self.report;
+            report
+                .query_latencies_us
+                .push(sent_at.elapsed().as_micros() as u64);
+            report.queries_sent += 1;
+            if matches!(reply, Frame::AvailReply { .. }) {
+                report.queries_answered += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(mut self, started: Instant) -> LoadGenReport {
+        self.report.frames_corrupted = self.corruptor.frames_corrupted;
+        self.report.reconnects = self.client.reconnects;
+        self.report.elapsed_secs = started.elapsed().as_secs_f64();
+        self.report
+    }
+}
+
 pub use fanin::{run_fanin, FanInConfig, FanInReport};
 
 /// The connection-scaling driver: thousands of monitor connections from
-/// one thread (Linux only), multiplexed over [`crate::ClientPool`] —
-/// the same epoll shim the server's readiness-loop backend runs on.
+/// one thread, multiplexed over [`crate::ClientPool`] — the same epoll
+/// shim the server's event loops run on.
 ///
 /// `run_loadgen` spends one OS thread per machine, which is exactly the
 /// limitation the scaling experiment measures on the *server* — the
@@ -254,7 +301,6 @@ pub use fanin::{run_fanin, FanInConfig, FanInReport};
 /// optional query) driven by the pool's transport events, so a single
 /// driver thread sustains 8192 concurrent streams at a fixed aggregate
 /// sample rate.
-#[cfg(target_os = "linux")]
 mod fanin {
     use std::io;
     use std::time::{Duration, Instant};

@@ -4,8 +4,8 @@
 //! derived state — to a follower, which replays them through its own
 //! (deterministic) ingest path and therefore rebuilds records and
 //! transitions **bit-identically**. The protocol is pull-based so it
-//! rides the existing strict request/reply connection handling on both
-//! backends: the follower sends [`Frame::ReplPull`] and the primary
+//! rides the server's strict request/reply connection handling: the
+//! follower sends [`Frame::ReplPull`] and the primary
 //! answers with entries, an empty reply (caught up), or a full
 //! snapshot when the requested position has been trimmed from the log.
 //!
@@ -45,7 +45,10 @@ use std::time::{Duration, Instant};
 
 use fgcs_core::backoff::BackoffPolicy;
 use fgcs_testbed::SupervisorConfig;
-use fgcs_wire::{ErrorCode, Frame, ReplEntry, WireSample, MAX_REPL_ENTRIES_PER_FRAME};
+use fgcs_wire::{
+    ErrorCode, Frame, ReplEntry, WireSample, MAX_FRAME_LEN, MAX_REPL_ENTRIES_PER_FRAME,
+    REPL_ENTRIES_HEADER_BYTES,
+};
 
 use crate::client::{ClientConfig, ServiceClient};
 use crate::snapshot;
@@ -210,7 +213,10 @@ impl ReplLog {
         self.inner.lock().unwrap().acked_seq
     }
 
-    /// Answers a pull for entries past `after_seq`.
+    /// Answers a pull for entries past `after_seq`: at most
+    /// `max_entries` of them, and no more than fit one frame — but always
+    /// at least one while the puller is behind, so a lagging follower
+    /// makes progress however large the entries are.
     pub(crate) fn pull(&self, after_seq: u64, max_entries: usize) -> PullReply {
         let inner = self.inner.lock().unwrap();
         let head = inner.next_seq - 1;
@@ -227,14 +233,20 @@ impl ReplLog {
         }
         match inner.entries.front() {
             Some(front) if front.seq <= after_seq + 1 => {
+                // Retained seqs are contiguous, so the first wanted entry
+                // sits at a computed index.
+                let start = (after_seq + 1 - front.seq) as usize;
                 let cap = max_entries.min(MAX_REPL_ENTRIES_PER_FRAME);
-                let entries: Vec<ReplEntry> = inner
-                    .entries
-                    .iter()
-                    .filter(|e| e.seq > after_seq)
-                    .take(cap)
-                    .cloned()
-                    .collect();
+                let mut budget = MAX_FRAME_LEN - REPL_ENTRIES_HEADER_BYTES;
+                let mut entries: Vec<ReplEntry> = Vec::new();
+                for e in inner.entries.range(start..).take(cap) {
+                    let len = e.encoded_len();
+                    if len > budget && !entries.is_empty() {
+                        break;
+                    }
+                    budget = budget.saturating_sub(len);
+                    entries.push(e.clone());
+                }
                 PullReply::Entries {
                     head_seq: head,
                     entries,
@@ -635,6 +647,39 @@ mod tests {
         assert!(matches!(log.pull(1, 100), PullReply::NeedSnapshot));
         // Ahead of the log: divergence, resync.
         assert!(matches!(log.pull(9, 100), PullReply::NeedSnapshot));
+    }
+
+    #[test]
+    fn pull_caps_the_reply_by_encoded_bytes() {
+        let log = ReplLog::new(64);
+        let sample = WireSample {
+            t: 0,
+            load: fgcs_wire::SampleLoad::Direct(0.1),
+            host_resident_mb: 64,
+            alive: true,
+        };
+        // Each entry is ~0.29 MiB: three fit a frame, four do not.
+        for i in 1..=8u64 {
+            log.append_local(7, vec![sample; 14_000], i, 1);
+        }
+        let PullReply::Entries { entries, .. } = log.pull(0, 1_024) else {
+            panic!("retained pull must not resync");
+        };
+        let bytes: usize = entries.iter().map(ReplEntry::encoded_len).sum();
+        assert_eq!(entries.len(), 3);
+        assert!(REPL_ENTRIES_HEADER_BYTES + bytes <= MAX_FRAME_LEN);
+        let reply = Frame::ReplEntries {
+            head_seq: 8,
+            epoch: 1,
+            lease_ms: 0,
+            entries,
+        };
+        assert!(reply.encode().is_ok(), "a byte-capped reply encodes");
+        // Mid-log pulls index straight to the requested position.
+        let PullReply::Entries { entries, .. } = log.pull(6, 1_024) else {
+            panic!("retained pull must not resync");
+        };
+        assert_eq!(entries.iter().map(|e| e.seq).collect::<Vec<_>>(), [7, 8]);
     }
 
     #[test]

@@ -536,7 +536,7 @@ struct SinkState {
 }
 
 /// Serialized writer of interval-gated snapshots into one directory.
-/// All checkpoint paths (the periodic hooks on both backends and the
+/// All checkpoint paths (the periodic checkpointer thread and the
 /// final shutdown write) funnel through this one mutex, so snapshots
 /// never interleave and the interval is enforced exactly once.
 pub(crate) struct SnapshotSink {

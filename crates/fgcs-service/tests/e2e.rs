@@ -1,14 +1,15 @@
 //! End-to-end tests over real localhost TCP: parity with the in-process
-//! pipeline, overload accounting, corruption accounting, and client
-//! reconnection.
+//! pipeline, the ack contract, overload accounting, corruption
+//! accounting, and client reconnection.
 
 use fgcs_faults::FaultConfig;
 use fgcs_service::{ClientConfig, LoadGenConfig, Server, ServiceClient, ServiceConfig};
-use fgcs_testbed::{trace_machine, MachinePlan, OccurrenceRecorder, TestbedConfig};
+use fgcs_testbed::{trace_machine, LabConfig, MachinePlan, OccurrenceRecorder, TestbedConfig};
 use fgcs_wire::{ErrorCode, Frame, SampleLoad, WireSample, WireTransition};
 
 /// Polls until the server's counters reconcile with `batches_sent`
-/// (queued work may still be draining when the load generator returns).
+/// (batches forwarded between loops may still be on a ring when the
+/// load generator returns).
 fn drain(server: &Server, batches_sent: u64) -> fgcs_wire::StatsPayload {
     for _ in 0..600 {
         let stats = server.stats();
@@ -94,26 +95,117 @@ fn expected_transitions(cfg: &TestbedConfig, machine: usize) -> Vec<WireTransiti
     out
 }
 
-/// Under ≥2× offered load the bounded queue sheds, the producers see
-/// `Busy`, and the accounting reconciles *exactly*:
+/// The ack contract: on a default server a batch's `Ack` means it was
+/// ingested and appended to the replication log. A query sent right
+/// after the ack — on another connection, with no polling — already
+/// sees the batch's transitions and its log entry.
+#[test]
+fn ack_means_ingested_and_logged() {
+    let svc = ServiceConfig {
+        repl_log_capacity: 1_024,
+        ..Default::default()
+    };
+    let detector = svc.detector;
+    let server = Server::start(svc).expect("server starts");
+    let addr = server.local_addr().to_string();
+    let mut writer = ServiceClient::connect(ClientConfig::new(&addr)).expect("writer connects");
+    let mut reader = ServiceClient::connect(ClientConfig::new(&addr)).expect("reader connects");
+
+    // 40-sample busy/idle square wave: every few batches flip state.
+    let lab = LabConfig::default();
+    let mut rec = OccurrenceRecorder::new(5, detector);
+    let mut expected: Vec<WireTransition> = Vec::new();
+    let samples: Vec<WireSample> = (0..800u64)
+        .map(|i| WireSample {
+            t: i * 15,
+            load: SampleLoad::Direct(if (i / 40) % 2 == 1 { 0.9 } else { 0.05 }),
+            host_resident_mb: 100,
+            alive: true,
+        })
+        .collect();
+    for (n, chunk) in samples.chunks(25).enumerate() {
+        let reply = writer
+            .request(&Frame::SampleBatch {
+                machine: 5,
+                samples: chunk.to_vec(),
+            })
+            .expect("batch answered");
+        assert!(matches!(reply, Frame::Ack { .. }), "tag {}", reply.tag());
+        for s in chunk {
+            let SampleLoad::Direct(host_load) = s.load else {
+                unreachable!()
+            };
+            let obs = fgcs_core::monitor::Observation {
+                host_load,
+                free_mem_mb: lab.free_for_guest_mb(s.host_resident_mb),
+                alive: true,
+            };
+            let before = rec.state();
+            let step = rec.observe(s.t, &obs);
+            if step.state != before {
+                expected.push(WireTransition {
+                    seq: expected.len() as u64 + 1,
+                    at: s.t,
+                    state: step.state.code(),
+                });
+            }
+        }
+
+        match reader
+            .request(&Frame::QueryTransitions {
+                machine: 5,
+                since_seq: 0,
+                max: 1_000,
+            })
+            .expect("transitions answered")
+        {
+            Frame::Transitions { transitions, .. } => assert_eq!(
+                transitions, expected,
+                "batch {n}: acked samples are applied"
+            ),
+            other => panic!("expected Transitions, got tag {}", other.tag()),
+        }
+        match reader.request(&Frame::ReplStatus).expect("status answered") {
+            Frame::ReplStatusReply {
+                head_seq, log_len, ..
+            } => {
+                assert_eq!(head_seq, n as u64 + 1, "batch {n}: acked batch is logged");
+                assert_eq!(log_len, n as u64 + 1);
+            }
+            other => panic!("expected ReplStatusReply, got tag {}", other.tag()),
+        }
+    }
+    assert!(!expected.is_empty(), "the wave must drive transitions");
+    server.shutdown();
+}
+
+/// Under overload a full forwarding ring sheds the arriving batch, the
+/// producer sees `Busy`, and the accounting reconciles *exactly*:
 /// `sent == ingested + shed + decode-rejected`, while the server keeps
 /// answering queries.
+///
+/// Two loops with a 4-batch ring and a 2 ms per-batch ingest cost. The
+/// burst replay sends each machine's batches back to back over one
+/// connection, and the tiny lab's machines 0 and 1 are homed on
+/// different loops, so whichever loop the kernel hands the connection
+/// to, one machine's bursts cross a ring faster than its home loop
+/// drains them.
 #[test]
 fn overload_sheds_and_reconciles_exactly() {
     let cfg = TestbedConfig::tiny();
     let mut svc = ServiceConfig::for_testbed(&cfg);
-    svc.workers = 1;
+    svc.event_loops = 2;
     svc.queue_capacity = 4;
-    svc.ingest_delay_us = 2_000; // ~500 batches/s capacity, unpaced offered load
+    svc.ingest_delay_us = 2_000; // ~500 batches/s per loop
     let server = Server::start(svc).expect("server starts");
     let addr = server.local_addr().to_string();
 
     let mut lg = LoadGenConfig::new(cfg.lab.clone());
     lg.batch_size = 16;
     lg.max_samples_per_machine = Some(4_000);
-    let report = fgcs_service::run_loadgen(&addr, &lg).expect("loadgen runs");
+    let report = fgcs_service::run_loadgen_bursts(&addr, &lg, 32).expect("loadgen runs");
 
-    // Query responsiveness while (or right after) the queue is saturated.
+    // Query responsiveness right after the overload.
     let mut client = ServiceClient::connect(ClientConfig::new(&addr)).expect("client connects");
     let reply = client
         .request(&Frame::QueryStats)
@@ -123,7 +215,7 @@ fn overload_sheds_and_reconciles_exactly() {
     let stats = drain(&server, report.batches_sent);
     assert!(
         stats.shed_batches > 0,
-        "load must actually overflow the queue: {stats:?}"
+        "load must actually overflow the ring: {stats:?}"
     );
     assert_eq!(
         stats.ingested_batches + stats.shed_batches + stats.decode_errors,

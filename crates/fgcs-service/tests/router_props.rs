@@ -11,20 +11,14 @@
 //!    records to the same trace streamed directly at a single server:
 //!    sharding must not observably change the pipeline.
 
-#![cfg(target_os = "linux")]
-
 use proptest::prelude::*;
 
 use fgcs_service::cluster::{rendezvous_owner, ClusterClient, ClusterConfig, ShardSpec};
-use fgcs_service::{Backend, ClientConfig, Server, ServiceClient, ServiceConfig};
+use fgcs_service::{ClientConfig, Server, ServiceClient, ServiceConfig};
 use fgcs_wire::{Frame, SampleLoad, WireSample, WireTransition};
 
 fn server() -> Server {
-    Server::start(ServiceConfig {
-        backend: Backend::Threads,
-        ..Default::default()
-    })
-    .expect("server starts")
+    Server::start(ServiceConfig::default()).expect("server starts")
 }
 
 /// The deterministic replay wave (same shape as fgcs-smoke's): long
@@ -53,26 +47,6 @@ fn transitions_of(client: &mut ServiceClient, machine: u32) -> Vec<WireTransitio
         Ok(Frame::Transitions { transitions, .. }) => transitions,
         other => panic!("transitions reply expected, got {other:?}"),
     }
-}
-
-/// Blocks until `client`'s server reports every machine caught up to
-/// the wave's final sample (ingest is asynchronous).
-fn wait_caught_up(client: &mut ServiceClient, machines: &[u32], final_t: u64) {
-    for _ in 0..400 {
-        if let Ok(Frame::StatsReply(stats)) = client.request(&Frame::QueryStats) {
-            let done = machines.iter().all(|&m| {
-                stats
-                    .machines
-                    .iter()
-                    .any(|s| s.machine == m && s.last_t >= final_t)
-            });
-            if done {
-                return;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    panic!("server did not catch up to t={final_t}");
 }
 
 fn direct_client(addr: &str) -> ServiceClient {
@@ -130,7 +104,6 @@ proptest! {
         shard_count in 1usize..4,
     ) {
         let ids: Vec<u32> = (1..=machines).collect();
-        let final_t = (samples - 1) * 15;
 
         // Reference: everything into one server, directly.
         let reference = server();
@@ -143,7 +116,6 @@ proptest! {
                 prop_assert!(matches!(reply, Frame::Ack { .. }), "{reply:?}");
             }
         }
-        wait_caught_up(&mut direct, &ids, final_t);
 
         // Cluster: same trace through the rendezvous router.
         let nodes: Vec<Server> = (0..shard_count).map(|_| server()).collect();
@@ -173,7 +145,6 @@ proptest! {
                 continue;
             }
             let mut c = direct_client(&node.local_addr().to_string());
-            wait_caught_up(&mut c, &owned, final_t);
             for &m in &owned {
                 let want = transitions_of(&mut direct, m);
                 let got = transitions_of(&mut c, m);

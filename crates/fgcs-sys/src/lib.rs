@@ -1,4 +1,4 @@
-//! Minimal Linux syscall shim for the epoll readiness-loop backend.
+//! Minimal Linux syscall shim for the service's epoll event loops.
 //!
 //! The build environment has no crate registry, so `fgcs-service`
 //! cannot pull in `libc`/`mio`. This crate binds the handful of
@@ -13,8 +13,8 @@
 //! all `unsafe` lives here, behind wrappers whose contracts are plain
 //! `std::io` ones (owned fds, `io::Result`, EINTR retried).
 //!
-//! Only compiled on Linux; on other targets the crate is empty and the
-//! service falls back to the threaded backend.
+//! Only compiled on Linux; on other targets the crate is empty.
+//! `fgcs-service`, which runs on these bindings, is Linux-only.
 
 #![warn(missing_docs)]
 

@@ -208,8 +208,8 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, EncodeError> {
 }
 
 /// Serializes a frame into a caller-owned buffer, clearing it first.
-/// The buffer's capacity is reused across calls — the readiness-loop
-/// backend encodes every reply through one scratch buffer so steady
+/// The buffer's capacity is reused across calls — the server's event
+/// loops encode every reply through one scratch buffer so steady
 /// state allocates nothing per frame. On error the buffer contents are
 /// unspecified (but safe to reuse).
 pub fn encode_into(frame: &Frame, buf: &mut Vec<u8>) -> Result<(), EncodeError> {

@@ -97,6 +97,29 @@ pub struct ReplEntry {
     pub samples: Vec<WireSample>,
 }
 
+/// Payload bytes of a [`Frame::ReplEntries`] before its first entry:
+/// head seq, epoch, lease and the entry count.
+pub const REPL_ENTRIES_HEADER_BYTES: usize = 28;
+
+impl ReplEntry {
+    /// Payload bytes this entry adds to an encoded [`Frame::ReplEntries`],
+    /// so a reply can be cut to fit [`crate::codec::MAX_FRAME_LEN`].
+    pub fn encoded_len(&self) -> usize {
+        // seq, machine, last_t_after, next_seq_after, sample count.
+        let fixed = 8 + 4 + 8 + 8 + 4;
+        let samples: usize = self
+            .samples
+            .iter()
+            .map(|s| match s.load {
+                // t, tag, load, host_resident_mb, alive.
+                SampleLoad::Direct(_) => 8 + 1 + 8 + 4 + 1,
+                SampleLoad::Counters { .. } => 8 + 1 + 16 + 4 + 1,
+            })
+            .sum();
+        fixed + samples
+    }
+}
+
 /// Per-machine entry of a [`StatsPayload`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineStat {
@@ -126,7 +149,8 @@ pub struct StatsPayload {
     pub ingested_batches: u64,
     /// Samples fed to a detector.
     pub ingested_samples: u64,
-    /// Batches shed (oldest-first) because the ingest queue was full.
+    /// Batches shed because the forwarding ring to their home event
+    /// loop was full.
     pub shed_batches: u64,
     /// Samples inside shed batches.
     pub shed_samples: u64,
@@ -134,7 +158,8 @@ pub struct StatsPayload {
     pub decode_errors: u64,
     /// `Busy` frames sent to producers.
     pub busy_replies: u64,
-    /// Batches currently queued, not yet ingested.
+    /// Acked batches not yet ingested: in flight on a forwarding ring
+    /// between event loops.
     pub queue_depth: u64,
     /// Availability queries answered.
     pub queries_answered: u64,
@@ -252,14 +277,15 @@ pub enum Frame {
         /// The samples, timestamps non-decreasing.
         samples: Vec<WireSample>,
     },
-    /// Server → producer: the batch was queued. `seq` counts batches
+    /// Server → producer: the batch was accepted — ingested, or handed
+    /// to its home event loop's forwarding ring. `seq` counts batches
     /// accepted on this connection.
     Ack {
         /// Batches accepted on this connection so far.
         seq: u64,
     },
-    /// Server → producer: the batch was queued, but the ingest queue was
-    /// full and the *oldest* queued batch was shed to make room. The
+    /// Server → producer: this batch was shed — it was bound for another
+    /// event loop's shard and the forwarding ring there was full. The
     /// producer should slow down.
     Busy {
         /// Total batches the server has shed so far.
@@ -1419,6 +1445,42 @@ mod tests {
         let mut d = Decoder::new();
         d.push(&enc);
         assert!(d.next_frame().is_err());
+    }
+
+    #[test]
+    fn repl_entry_encoded_len_matches_the_encoding() {
+        let sample = |i: u64| WireSample {
+            t: i,
+            load: if i.is_multiple_of(2) {
+                SampleLoad::Direct(0.5)
+            } else {
+                SampleLoad::Counters {
+                    busy: i,
+                    total: 2 * i,
+                }
+            },
+            host_resident_mb: 64,
+            alive: true,
+        };
+        let entries: Vec<ReplEntry> = (0..4u64)
+            .map(|n| ReplEntry {
+                seq: n + 1,
+                machine: n as u32,
+                last_t_after: n,
+                next_seq_after: 1,
+                samples: (0..n * 3).map(sample).collect(),
+            })
+            .collect();
+        let predicted =
+            REPL_ENTRIES_HEADER_BYTES + entries.iter().map(ReplEntry::encoded_len).sum::<usize>();
+        let frame = Frame::ReplEntries {
+            head_seq: 4,
+            epoch: 1,
+            lease_ms: 100,
+            entries,
+        };
+        let encoded = frame.encode().unwrap();
+        assert_eq!(encoded.len() - crate::codec::HEADER_LEN, predicted);
     }
 
     #[test]

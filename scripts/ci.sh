@@ -81,6 +81,20 @@ awk -v r="$p99_ratio" 'BEGIN { exit !(r <= 1.5) }' \
     || { echo "multicore gate: 4-loop query p99 ratio $p99_ratio > 1.5x" >&2; exit 1; }
 echo "  4-loop vs 1-loop at the gate rung: ${speedup}x ingest, p99 ratio $p99_ratio"
 
+echo "== fan-in scaling gate (committed BENCH_serve.json) =="
+# The committed full-scale X12 ladder must end fully sustained on a
+# default server: at the top rung (4096 conns) every connection streamed
+# to the end and none was refused. The experiment asserts the exact
+# accounting identities at every rung before it writes the artifact.
+s_conns=$(gate_num top_conns)
+s_sus=$(gate_num top_sustained)
+s_ref=$(gate_num top_refused)
+[ -n "$s_conns" ] && [ -n "$s_sus" ] && [ -n "$s_ref" ] \
+    || { echo "BENCH_serve.json: scaling gate lacks top_conns/top_sustained/top_refused" >&2; exit 1; }
+[ "$s_conns" -ge 4096 ] && [ "$s_sus" -eq "$s_conns" ] && [ "$s_ref" -eq 0 ] \
+    || { echo "scaling gate: top rung sustained $s_sus of $s_conns, refused $s_ref" >&2; exit 1; }
+echo "  top rung: $s_sus of $s_conns connections sustained, 0 refused"
+
 echo "== cluster failover smoke (X13, kill-primary, automatic promotion) =="
 # Two shards of real fgcs-serve processes (primary + replication
 # follower each), a routed replay through ClusterClient, and a SIGKILL
@@ -247,16 +261,16 @@ awk -v e="$f_err" -v b="$f_bound" 'BEGIN { exit !(e <= b) }' \
     || { echo "fleet gate: stressed rank error $f_err > bound $f_bound" >&2; exit 1; }
 echo "  $f_machines machines, peak RSS $f_peak MB <= $f_budget MB, stressed rank err $f_err <= $f_bound"
 
-echo "== epoll backend smoke (fgcs-serve + fgcs-smoke over localhost) =="
-# Drive the readiness-loop backend through a real process boundary: a
-# server on a free port with auth enabled, probed by fgcs-smoke (authed
-# batch, forced reconnect mid-stream, stats query, and one wrong-token
+echo "== fgcs-serve smoke (fgcs-serve + fgcs-smoke over localhost) =="
+# Drive a default server through a real process boundary: a server on a
+# free port with auth enabled, probed by fgcs-smoke (authed batch,
+# forced reconnect mid-stream, stats query, and one wrong-token
 # rejection). The server runs until we close its stdin.
 serve_fifo="$smoke_dir/serve.stdin"
 mkfifo "$serve_fifo"
-./target/release/fgcs-serve --addr 127.0.0.1:0 --backend epoll \
+./target/release/fgcs-serve --addr 127.0.0.1:0 \
     --auth-token ci-smoke-token \
-    < "$serve_fifo" > "$smoke_dir/serve_addr.out" 2> "$smoke_dir/serve_epoll.log" &
+    < "$serve_fifo" > "$smoke_dir/serve_addr.out" 2> "$smoke_dir/serve.log" &
 serve_pid=$!
 exec 9> "$serve_fifo"
 addr=""
@@ -269,10 +283,10 @@ done
 ./target/release/fgcs-smoke --addr "$addr" --token ci-smoke-token
 exec 9>&-
 wait "$serve_pid"
-grep -q 'backend=epoll' "$smoke_dir/serve_epoll.log" \
-    || { echo "fgcs-serve did not run the epoll backend" >&2; exit 1; }
+grep -q 'loops=1' "$smoke_dir/serve.log" \
+    || { echo "fgcs-serve did not start its default single event loop" >&2; exit 1; }
 
-echo "== kill-and-restart snapshot smoke (both backends) =="
+echo "== kill-and-restart snapshot smoke (default server) =="
 # The crash-safety gate: SIGKILL fgcs-serve mid-replay, restart it on
 # the same snapshot directory, resume the replay (strictly past each
 # machine's restored last_t, via fgcs-smoke --resume), shut down
@@ -281,16 +295,16 @@ echo "== kill-and-restart snapshot smoke (both backends) =="
 # header and counters lines legitimately differ (elapsed time, batch
 # boundaries after the resume), so they are excluded from the diff.
 #
-# $1=backend  $2=snapshot dir  $3=log tag  $4=kill mid-replay (yes/no)
-# $5=resume ("resume" or "")  $6=extra fgcs-serve args  $7=extra
+# $1=snapshot dir  $2=log tag  $3=kill mid-replay (yes/no)
+# $4=resume ("resume" or "")  $5=extra fgcs-serve args  $6=extra
 # fgcs-smoke args (both word-split, e.g. "--loops 4")
 run_replay_server() {
-    local backend="$1" snapdir="$2" tag="$3" kill_mid="$4"
-    local resume="${5:-}" serve_extra="${6:-}" smoke_extra="${7:-}"
+    local snapdir="$1" tag="$2" kill_mid="$3"
+    local resume="${4:-}" serve_extra="${5:-}" smoke_extra="${6:-}"
     local fifo="$smoke_dir/$tag.stdin" out="$smoke_dir/$tag.out"
     mkfifo "$fifo"
     # shellcheck disable=SC2086  # extras are intentionally word-split
-    ./target/release/fgcs-serve --addr 127.0.0.1:0 --backend "$backend" \
+    ./target/release/fgcs-serve --addr 127.0.0.1:0 \
         --snapshot-dir "$snapdir" --snapshot-interval 50 --reuse-addr \
         $serve_extra \
         < "$fifo" > "$out" 2> "$smoke_dir/$tag.log" &
@@ -328,35 +342,33 @@ snapshot_fingerprint() {
     newest=$(ls "$1"/snap-*.snap | sort | tail -n 1)
     grep -E '"kind":"(machine|record|transition)"' "$newest"
 }
-for backend in threads epoll; do
-    base="$smoke_dir/snap-$backend"
-    # Uninterrupted reference: the full wave through one server life.
-    run_replay_server "$backend" "$base-ref" "ref-$backend" no
-    # Crash run: half the wave, SIGKILL, restart on the same snapshot
-    # dir, resume the replay, graceful shutdown.
-    run_replay_server "$backend" "$base-crash" "crash1-$backend" yes
-    run_replay_server "$backend" "$base-crash" "crash2-$backend" no resume
-    snapshot_fingerprint "$base-ref"   > "$smoke_dir/fp-ref-$backend"
-    snapshot_fingerprint "$base-crash" > "$smoke_dir/fp-crash-$backend"
-    diff "$smoke_dir/fp-ref-$backend" "$smoke_dir/fp-crash-$backend" \
-        || { echo "$backend: snapshot after kill+restart+resume diverges from the uninterrupted run" >&2; exit 1; }
-    echo "  $backend: kill/restart snapshot matches the uninterrupted run"
-done
+base="$smoke_dir/snap"
+# Uninterrupted reference: the full wave through one server life.
+run_replay_server "$base-ref" ref no
+# Crash run: half the wave, SIGKILL, restart on the same snapshot dir,
+# resume the replay, graceful shutdown.
+run_replay_server "$base-crash" crash1 yes
+run_replay_server "$base-crash" crash2 no resume
+snapshot_fingerprint "$base-ref"   > "$smoke_dir/fp-ref"
+snapshot_fingerprint "$base-crash" > "$smoke_dir/fp-crash"
+diff "$smoke_dir/fp-ref" "$smoke_dir/fp-crash" \
+    || { echo "snapshot after kill+restart+resume diverges from the uninterrupted run" >&2; exit 1; }
+echo "  kill/restart snapshot matches the uninterrupted run"
 
-echo "== kill-and-restart snapshot smoke (epoll, 4 event loops) =="
+echo "== kill-and-restart snapshot smoke (4 event loops) =="
 # Same crash gate, but with the server running 4 SO_REUSEPORT event
 # loops and the replay spread over 4 concurrent connections — ingest
 # crosses the per-loop forwarding rings while periodic checkpoints are
 # being cut. The final snapshot must still be bit-identical to the
-# single-loop epoll reference from the loop above: loop count is a
-# deployment knob, not a semantic one.
-ml_base="$smoke_dir/snap-epoll-ml"
-run_replay_server epoll "$ml_base-crash" crash1-epoll-ml yes "" "--loops 4" "--loops 4"
-run_replay_server epoll "$ml_base-crash" crash2-epoll-ml no resume "--loops 4" "--loops 4"
-snapshot_fingerprint "$ml_base-crash" > "$smoke_dir/fp-crash-epoll-ml"
-diff "$smoke_dir/fp-ref-epoll" "$smoke_dir/fp-crash-epoll-ml" \
-    || { echo "epoll --loops 4: snapshot after kill+restart+resume diverges from the single-loop run" >&2; exit 1; }
-echo "  epoll --loops 4: kill/restart snapshot matches the single-loop run"
+# single-loop reference from the run above: loop count is a deployment
+# knob, not a semantic one.
+ml_base="$smoke_dir/snap-ml"
+run_replay_server "$ml_base-crash" crash1-ml yes "" "--loops 4" "--loops 4"
+run_replay_server "$ml_base-crash" crash2-ml no resume "--loops 4" "--loops 4"
+snapshot_fingerprint "$ml_base-crash" > "$smoke_dir/fp-crash-ml"
+diff "$smoke_dir/fp-ref" "$smoke_dir/fp-crash-ml" \
+    || { echo "--loops 4: snapshot after kill+restart+resume diverges from the single-loop run" >&2; exit 1; }
+echo "  --loops 4: kill/restart snapshot matches the single-loop run"
 
 echo "== sim throughput smoke (quick mode) =="
 FGCS_BENCH_QUICK=1 cargo bench -p fgcs-bench --bench sim_throughput
